@@ -108,12 +108,11 @@ Scenario::Scenario(const ScenarioConfig& cfg) : cfg_{cfg}, rng_{cfg.seed} {
 
   // Instrumentation watches flow 0 (the paper's single pair).
   stats_ = std::make_unique<StatsCollector>(
-      *net_, StatsCollector::Config{flows_[0].sender, flows_[0].receiver, /*trackPath=*/true});
-  stats_->install();
+      *net_, StatsCollector::Config{flows_[0].sender, flows_[0].receiver});
   stats_->setFailureWatermark(cfg_.failureWatermark());
 
   // Runtime invariant checking (opt-in: config flag or env var). Attached
-  // as the network's secondary observer, so the stats hooks stay untouched.
+  // as a second network observer, after the stats collector.
   if (cfg_.checkInvariants || envInvariantsEnabled()) {
     checker_ = std::make_unique<fault::InvariantChecker>(*net_);
   }

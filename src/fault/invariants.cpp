@@ -28,11 +28,9 @@ std::string Violation::format() const {
   return os.str();
 }
 
-InvariantChecker::InvariantChecker(Network& net) : net_{net} { net_.setObserver(this); }
+InvariantChecker::InvariantChecker(Network& net) : net_{net} { net_.addObserver(this); }
 
-InvariantChecker::~InvariantChecker() {
-  if (net_.observer() == this) net_.setObserver(nullptr);
-}
+InvariantChecker::~InvariantChecker() { net_.removeObserver(this); }
 
 void InvariantChecker::note(Time t, std::string what) {
   if (trail_.size() >= kTrailLength) trail_.pop_front();

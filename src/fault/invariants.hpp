@@ -22,7 +22,7 @@ struct Violation {
   [[nodiscard]] std::string format() const;
 };
 
-/// Runtime invariant checker, attached as the Network's secondary observer.
+/// Runtime invariant checker, attached as one of the Network's observers.
 ///
 /// Checked continuously:
 ///   packet-conservation   delivered + dropped never exceeds originated
@@ -40,7 +40,7 @@ struct Violation {
 /// they are diagnostics, not violations.
 class InvariantChecker final : public NetworkObserver {
  public:
-  /// Attaches itself via Network::setObserver.
+  /// Attaches itself via Network::addObserver; the destructor detaches it.
   explicit InvariantChecker(Network& net);
   ~InvariantChecker() override;
 

@@ -31,6 +31,20 @@ RunStatus runStatusFromString(const std::string& name) {
   throw std::invalid_argument("unknown run status '" + name + "'");
 }
 
+namespace {
+
+/// The live path tracer only sees route-change arguments; its last path
+/// must be the path the real FIBs hold at end of run. With no route change
+/// at all it recorded nothing, and then the sender must hold no route.
+bool tracerMatchesFib(Scenario& sc) {
+  const auto* tracer = sc.stats().tracer();
+  if (tracer == nullptr) return true;
+  const auto walked = sc.network().fibWalk(sc.sender(), sc.receiver());
+  return tracer->events().empty() ? walked.size() == 1 : tracer->currentPath() == walked;
+}
+
+}  // namespace
+
 RunOutcome runScenarioOnce(const ScenarioConfig& cfg, double wallLimitSec) {
   RunOutcome out;
   ScenarioConfig checked = cfg;
@@ -84,15 +98,19 @@ RunOutcome runScenarioOnce(const ScenarioConfig& cfg, double wallLimitSec) {
   out.eventsExecuted = scenario->scheduler().executedEvents();
   if (!threw && out.status == RunStatus::Clean) {
     out.resultDigest = runResultDigest(summarizeRun(*scenario));
-    // Cross-check the streaming analyzer against the offline replayer over
-    // the exact events the run just produced. They are independent
-    // implementations of the same reconstruction; any disagreement is a
-    // simulator-observability bug worth banking.
-    if (const auto* anatomy = scenario->convergenceAnalyzer()) {
+    std::string field;
+    std::string what;
+    if (!tracerMatchesFib(*scenario)) {
+      field = "tracerPath";
+      what = "live path tracer's last path differs from the end-of-run FIB walk";
+    } else if (const auto* anatomy = scenario->convergenceAnalyzer()) {
+      // Cross-check the streaming analyzer against the offline replayer
+      // over the exact events the run just produced. They are independent
+      // implementations of the same reconstruction; any disagreement is a
+      // simulator-observability bug worth banking.
       const auto& live = anatomy->report();
       const obs::ReplayOptions opts{scenario->sender(), scenario->receiver(),
                                     scenario->network().nodeCount()};
-      std::string field;
       try {
         const obs::ReplayResult replay = obs::replayTrace(out.trace, opts);
         if (live.pathEvents != replay.pathEvents) {
@@ -113,10 +131,11 @@ RunOutcome runScenarioOnce(const ScenarioConfig& cfg, double wallLimitSec) {
       } catch (const std::exception&) {
         field = "replayThrew";
       }
-      if (!field.empty()) {
-        out.status = RunStatus::AnatomyDivergence;
-        out.detail = field + "\nonline analyzer vs offline replay disagree on " + field;
-      }
+      what = "online analyzer vs offline replay disagree on " + field;
+    }
+    if (!field.empty()) {
+      out.status = RunStatus::AnatomyDivergence;
+      out.detail = field + "\n" + what;
     }
   }
   scenario->attachTraceSink(nullptr);

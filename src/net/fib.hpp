@@ -35,9 +35,10 @@ namespace rcsim {
 /// when ECMP is enabled at resize() time; with it off the alternate arrays
 /// are never allocated and the FIB costs exactly one NodeId per destination.
 ///
-/// Canonical walks (Network::fibWalk, PathTracer, the obs/replay shadow
-/// FIB) follow primaries only; the data plane spreads flows over the full
-/// entry set via fibFlowKey (see docs/routing-state.md).
+/// Canonical walks (Network::fibWalk, and the PathTracer column and
+/// obs/replay shadow FIB rebuilt from route changes) follow primaries only;
+/// the data plane spreads flows over the full entry set via fibFlowKey
+/// (see docs/routing-state.md).
 class Fib {
  public:
   /// Small-N cap on next hops per destination (1 primary + 3 alternates).

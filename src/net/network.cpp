@@ -89,9 +89,10 @@ std::vector<NodeId> Network::fibWalk(NodeId src, NodeId dst, bool* loop, bool* b
       return path;
     }
     visited[static_cast<std::size_t>(cur)] = 1;
-    // Canonical walk: primaries only, even under ECMP — PathTracer and the
-    // obs/replay shadow FIB (rebuilt from RouteChange events, which carry
-    // primaries) must agree on this walk (docs/routing-state.md).
+    // Canonical walk: primaries only, even under ECMP — the PathTracer
+    // receiver column and the obs/replay shadow FIB (both rebuilt from
+    // route changes, which carry primaries) must agree with this walk
+    // (docs/routing-state.md).
     const NodeId nh = node(cur).fib().nextHop(dst);
     if (nh == kInvalidNode) {
       if (blackhole) *blackhole = true;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -16,22 +15,11 @@ namespace rcsim {
 
 class HelloDetector;
 
-/// Observation points used by the stats layer. All hooks are optional.
-struct NetworkHooks {
-  std::function<void(Time, NodeId where, const Packet&, DropReason)> onDrop;
-  std::function<void(Time, NodeId, const Packet&)> onDeliver;
-  std::function<void(Time, NodeId, const Packet&, NodeId nextHop)> onForward;
-  std::function<void(Time, NodeId node, NodeId dst, NodeId oldNh, NodeId newNh)> onRouteChange;
-  /// Every routing/transport payload handed to a link (sent or not —
-  /// fires before any queue/down-link drop). Feeds routing-load accounting.
-  std::function<void(Time, NodeId from, NodeId to, const ControlPayload&)> onControlSend;
-};
-
-/// Secondary, non-owning observation channel, used by the runtime invariant
-/// checker. StatsCollector stays the sole NetworkHooks user; every call site
-/// funnels through Network::notify* so hooks and observer see one stream.
-/// Extra callbacks (onOriginate, onLinkTransmit, onLinkStateChange) cover
-/// events the stats layer never needed but invariants do.
+/// The in-process event interface: the stats collector, the runtime
+/// invariant checker and test probes subclass it and attach through
+/// Network::addObserver. Every call site funnels through Network::notify*,
+/// so every observer and the typed Tracer see one stream with identical
+/// arguments. All callbacks default to no-ops.
 class NetworkObserver {
  public:
   virtual ~NetworkObserver() = default;
@@ -60,15 +48,15 @@ class Network {
   [[nodiscard]] Scheduler& scheduler() { return sched_; }
   [[nodiscard]] obs::Tracer& trace() { return trace_; }
   [[nodiscard]] const obs::Tracer& trace() const { return trace_; }
-  [[nodiscard]] NetworkHooks& hooks() { return hooks_; }
 
   /// The network-owned RNG, forked per node at creation; fault injection
   /// draws impairment outcomes from it (single-threaded, deterministic).
   [[nodiscard]] Rng& rng() { return rng_; }
 
-  /// Attach/detach the secondary observer (invariant checker). Not owned.
-  void setObserver(NetworkObserver* obs) { observer_ = obs; }
-  [[nodiscard]] NetworkObserver* observer() const { return observer_; }
+  /// Attach/detach an observer (not owned). Observers are notified in
+  /// attach order; one destroyed before the network must detach first.
+  void addObserver(NetworkObserver* obs) { observers_.push_back(obs); }
+  void removeObserver(NetworkObserver* obs) { std::erase(observers_, obs); }
 
   /// Attach the hello-based failure detector (owned by Scenario). While one
   /// is installed, links stop scheduling their oracle handleLinkDown/Up
@@ -76,21 +64,19 @@ class Network {
   void setDetector(HelloDetector* det) { detector_ = det; }
   [[nodiscard]] HelloDetector* detector() const { return detector_; }
 
-  // Event fan-out: each call site notifies the stats hooks, the observer
-  // and the typed tracer with identical arguments, so no two layers can
-  // disagree. Trace payload construction is guarded by wants(), keeping
-  // the disabled path to a null-check.
+  // Event fan-out: each call site notifies every observer and the typed
+  // tracer with identical arguments, so no two layers can disagree. Trace
+  // payload construction is guarded by wants(), keeping the disabled path
+  // to a null-check.
   void notifyDrop(Time t, NodeId where, const Packet& p, DropReason r) {
-    if (hooks_.onDrop) hooks_.onDrop(t, where, p, r);
-    if (observer_) observer_->onDrop(t, where, p, r);
+    for (NetworkObserver* o : observers_) o->onDrop(t, where, p, r);
     if (trace_.wants(obs::TraceKind::Drop)) {
       trace_.emit(t, obs::TraceKind::Drop, where, kInvalidNode, static_cast<std::int64_t>(p.id),
                   static_cast<std::int64_t>(r), p.kind == PacketKind::Data ? 1 : 0);
     }
   }
   void notifyDeliver(Time t, NodeId node, const Packet& p) {
-    if (hooks_.onDeliver) hooks_.onDeliver(t, node, p);
-    if (observer_) observer_->onDeliver(t, node, p);
+    for (NetworkObserver* o : observers_) o->onDeliver(t, node, p);
     if (trace_.wants(obs::TraceKind::Deliver)) {
       trace_.emit(t, obs::TraceKind::Deliver, node, p.src, static_cast<std::int64_t>(p.id),
                   p.sendTime.ns(),
@@ -98,39 +84,36 @@ class Network {
     }
   }
   void notifyForward(Time t, NodeId node, const Packet& p, NodeId nh) {
-    if (hooks_.onForward) hooks_.onForward(t, node, p, nh);
-    if (observer_) observer_->onForward(t, node, p, nh);
+    for (NetworkObserver* o : observers_) o->onForward(t, node, p, nh);
     if (trace_.wants(obs::TraceKind::Forward)) {
       trace_.emit(t, obs::TraceKind::Forward, node, nh, static_cast<std::int64_t>(p.id), p.ttl,
                   p.dst);
     }
   }
   void notifyOriginate(Time t, NodeId node, const Packet& p) {
-    if (observer_) observer_->onOriginate(t, node, p);
+    for (NetworkObserver* o : observers_) o->onOriginate(t, node, p);
     if (trace_.wants(obs::TraceKind::Originate)) {
       trace_.emit(t, obs::TraceKind::Originate, node, p.dst, static_cast<std::int64_t>(p.id));
     }
   }
   void notifyRouteChange(Time t, NodeId node, NodeId dst, NodeId oldNh, NodeId newNh) {
-    if (hooks_.onRouteChange) hooks_.onRouteChange(t, node, dst, oldNh, newNh);
-    if (observer_) observer_->onRouteChange(t, node, dst, oldNh, newNh);
+    for (NetworkObserver* o : observers_) o->onRouteChange(t, node, dst, oldNh, newNh);
     if (trace_.wants(obs::TraceKind::RouteChange)) {
       trace_.emit(t, obs::TraceKind::RouteChange, node, kInvalidNode, dst, oldNh, newNh);
     }
   }
   void notifyControlSend(Time t, NodeId from, NodeId to, const ControlPayload& payload) {
-    if (hooks_.onControlSend) hooks_.onControlSend(t, from, to, payload);
-    if (observer_) observer_->onControlSend(t, from, to, payload);
+    for (NetworkObserver* o : observers_) o->onControlSend(t, from, to, payload);
     if (trace_.wants(obs::TraceKind::ControlSend)) {
       trace_.emit(t, obs::TraceKind::ControlSend, from, to,
                   static_cast<std::int64_t>(payload.sizeBytes()));
     }
   }
   void notifyLinkTransmit(Time t, NodeId from, NodeId to, bool linkUp) {
-    if (observer_) observer_->onLinkTransmit(t, from, to, linkUp);
+    for (NetworkObserver* o : observers_) o->onLinkTransmit(t, from, to, linkUp);
   }
   void notifyLinkStateChange(Time t, NodeId a, NodeId b, bool up) {
-    if (observer_) observer_->onLinkStateChange(t, a, b, up);
+    for (NetworkObserver* o : observers_) o->onLinkStateChange(t, a, b, up);
     trace_.emit(t, up ? obs::TraceKind::LinkUp : obs::TraceKind::LinkDown, a, b);
   }
 
@@ -172,8 +155,7 @@ class Network {
   Scheduler& sched_;
   Rng rng_;
   obs::Tracer trace_;
-  NetworkHooks hooks_;
-  NetworkObserver* observer_ = nullptr;
+  std::vector<NetworkObserver*> observers_;
   HelloDetector* detector_ = nullptr;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;

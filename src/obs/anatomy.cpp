@@ -1,6 +1,6 @@
 #include "obs/anatomy.hpp"
 
-#include <stdexcept>
+#include <limits>
 
 #include "net/types.hpp"
 
@@ -88,17 +88,15 @@ AnatomySummary AnatomyReport::summary() const {
 }
 
 ConvergenceAnalyzer::ConvergenceAnalyzer(const ReplayOptions& opt, TraceSink* downstream)
-    : opt_{opt}, downstream_{downstream} {
-  walkable_ = opt_.nodeCount > 0 && opt_.src != kInvalidNode && opt_.dst != kInvalidNode &&
-              static_cast<std::size_t>(opt_.src) < opt_.nodeCount &&
-              static_cast<std::size_t>(opt_.dst) < opt_.nodeCount;
-  if (walkable_) {
-    nextHopToDst_.assign(opt_.nodeCount, kInvalidNode);
-    visitedEpoch_.assign(opt_.nodeCount, 0);
+    : downstream_{downstream} {
+  // Negative ids (kInvalidNode) wrap far past any node count.
+  if (static_cast<std::size_t>(opt.src) < opt.nodeCount &&
+      static_cast<std::size_t>(opt.dst) < opt.nodeCount) {
+    tracer_.emplace(opt.src, opt.dst, opt.nodeCount);
   }
-  if (opt_.nodeCount > 0) {
-    report_.perNodeControlMessages.assign(opt_.nodeCount, 0);
-    report_.perNodeControlBytes.assign(opt_.nodeCount, 0);
+  if (opt.nodeCount > 0) {
+    report_.perNodeControlMessages.assign(opt.nodeCount, 0);
+    report_.perNodeControlBytes.assign(opt.nodeCount, 0);
   }
 }
 
@@ -123,43 +121,18 @@ void ConvergenceAnalyzer::openEpisode(const TraceEvent& ev) {
   episodeOpen_ = true;
 }
 
-void ConvergenceAnalyzer::walk(Time t) {
-  // The receiver-column walk: identical to replay.cpp's shadowWalk over a
-  // full shadow FIB, because the walk only ever reads fib[cur][dst].
-  ++epoch_;
-  walkBuf_.clear();
-  bool loop = false;
-  bool blackhole = false;
-  NodeId cur = opt_.src;
-  while (true) {
-    walkBuf_.push_back(cur);
-    if (cur == opt_.dst) break;
-    if (visitedEpoch_[static_cast<std::size_t>(cur)] == epoch_) {
-      loop = true;
-      break;
-    }
-    visitedEpoch_[static_cast<std::size_t>(cur)] = epoch_;
-    const NodeId nh = nextHopToDst_[static_cast<std::size_t>(cur)];
-    if (nh == kInvalidNode) {
-      blackhole = true;
-      break;
-    }
-    cur = nh;
-  }
-  // PathTracer::snapshot's dedup: record only a *changed* path.
-  if (!report_.pathEvents.empty() && report_.pathEvents.back().path == walkBuf_) return;
-  report_.pathEvents.push_back(ReplayPathEvent{t, walkBuf_, loop, blackhole});
-
+void ConvergenceAnalyzer::onPathEvent(const PathEvent& e) {
+  report_.pathEvents.push_back(e);
   // Incremental form of replay.cpp's windows() fold, attributing each
   // window to the episode that was open when it began.
-  if (loop && !loopOpen_) {
-    report_.loopWindows.push_back(ReplayWindow{t, t, true});
+  if (e.loop && !loopOpen_) {
+    report_.loopWindows.push_back(ReplayWindow{e.t, e.t, true});
     loopOpen_ = true;
     loopOwner_ = episodeOpen_ ? report_.episodes.size() - 1 : kNoOwner;
     if (loopOwner_ != kNoOwner) ++report_.episodes[loopOwner_].loopWindows;
-  } else if (!loop && loopOpen_) {
+  } else if (!e.loop && loopOpen_) {
     ReplayWindow& w = report_.loopWindows.back();
-    w.end = t;
+    w.end = e.t;
     w.openAtEnd = false;
     if (loopOwner_ != kNoOwner) {
       report_.episodes[loopOwner_].loopSeconds += (w.end - w.begin).toSeconds();
@@ -167,14 +140,14 @@ void ConvergenceAnalyzer::walk(Time t) {
     loopOpen_ = false;
     loopOwner_ = kNoOwner;
   }
-  if (blackhole && !blackholeOpen_) {
-    report_.blackholeWindows.push_back(ReplayWindow{t, t, true});
+  if (e.blackhole && !blackholeOpen_) {
+    report_.blackholeWindows.push_back(ReplayWindow{e.t, e.t, true});
     blackholeOpen_ = true;
     blackholeOwner_ = episodeOpen_ ? report_.episodes.size() - 1 : kNoOwner;
     if (blackholeOwner_ != kNoOwner) ++report_.episodes[blackholeOwner_].blackholeWindows;
-  } else if (!blackhole && blackholeOpen_) {
+  } else if (!e.blackhole && blackholeOpen_) {
     ReplayWindow& w = report_.blackholeWindows.back();
-    w.end = t;
+    w.end = e.t;
     w.openAtEnd = false;
     if (blackholeOwner_ != kNoOwner) {
       report_.episodes[blackholeOwner_].blackholeSeconds += (w.end - w.begin).toSeconds();
@@ -198,22 +171,15 @@ void ConvergenceAnalyzer::analyze(const TraceEvent& ev) {
         ep->lastRouteChangeAt = ev.t;
         ++ep->routeChanges;
       }
-      if (!walkable_) break;
-      const auto node = static_cast<std::size_t>(ev.a);
-      const auto dst = static_cast<std::size_t>(ev.x);
-      if (node >= opt_.nodeCount || dst >= opt_.nodeCount) {
-        // Same contract (and text) as replayTrace: a trace whose route
-        // events do not fit the declared node count is corrupt.
-        throw std::runtime_error("trace replay: RouteChange references a node outside 0..N-1");
-      }
-      if (static_cast<NodeId>(ev.x) == opt_.dst) {
-        nextHopToDst_[node] = static_cast<NodeId>(ev.z);
-        walk(ev.t);
-      } else if (report_.pathEvents.empty()) {
-        // The very first RouteChange always records a path event in the
-        // offline replay (its dedup list is empty); later off-column
-        // changes cannot alter the walked path and are skipped.
-        walk(ev.t);
+      if (!tracer_) break;
+      // An id beyond NodeId's range must fail the tracer's range check,
+      // not wrap into 0..N-1.
+      const auto id = [](std::int64_t v) {
+        return v == static_cast<NodeId>(v) ? static_cast<NodeId>(v)
+                                           : std::numeric_limits<NodeId>::min();
+      };
+      if (tracer_->onRouteChange(ev.t, ev.a, id(ev.x), id(ev.z))) {
+        onPathEvent(tracer_->events().back());
       }
       break;
     }

@@ -9,24 +9,20 @@
 // Tracer's sink and it forwards every event verbatim to an optional
 // downstream sink (a FileTraceSink, the fuzzer's MemoryTraceSink), so
 // recording and analyzing compose without either seeing a different
-// stream. It is an independent implementation of the reconstruction in
-// obs/replay.hpp — the two cross-check each other element-wise on every
+// stream. Its forwarding-path story comes from the shared PathTracer
+// (obs/path_tracer.hpp), fed from the RouteChange events; on top of it the
+// analyzer folds loop / black-hole windows and attributes them, drops and
+// control traffic to episodes. It is cross-checked element-wise against
+// the independent dense-FIB reconstruction in obs/replay.hpp on every
 // golden scenario and on every fuzzer execution (RunStatus::
 // AnatomyDivergence), which is what lets either be trusted.
-//
-// Where replay.cpp keeps a dense N x N shadow FIB and re-walks on every
-// RouteChange, the analyzer keeps only the receiver's FIB *column* (the
-// walk never reads any other destination) and re-walks only when that
-// column changed — O(N) memory and far fewer walks, with provably
-// identical output: a walk after an unrelated RouteChange reproduces the
-// previous path, which the PathTracer dedup discards anyway. The single
-// exception is the first RouteChange of the stream, which the dedup
-// always records; the analyzer walks on that one unconditionally.
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "obs/path_tracer.hpp"
 #include "obs/replay.hpp"
 #include "obs/trace.hpp"
 
@@ -139,7 +135,7 @@ struct AnatomySummary {
 struct AnatomyReport {
   std::vector<ConvergenceEpisode> episodes;
 
-  std::vector<ReplayPathEvent> pathEvents;
+  std::vector<PathEvent> pathEvents;
   std::vector<ReplayWindow> loopWindows;
   std::vector<ReplayWindow> blackholeWindows;
   std::array<std::uint64_t, kTraceKindCount> kindCounts{};
@@ -218,21 +214,12 @@ class ConvergenceAnalyzer : public TraceSink {
  private:
   void analyze(const TraceEvent& ev);
   void openEpisode(const TraceEvent& ev);
-  void walk(Time t);
+  void onPathEvent(const PathEvent& e);
 
-  ReplayOptions opt_;
-  bool walkable_ = false;
   TraceSink* downstream_ = nullptr;
   bool finished_ = false;
-
-  /// Receiver-column shadow FIB: nextHopToDst_[n] is n's primary next hop
-  /// toward opt_.dst (the only column the path walk ever reads).
-  std::vector<NodeId> nextHopToDst_;
-  /// Epoch-stamped visited marks + reused path buffer, so a walk allocates
-  /// nothing after the first.
-  std::vector<std::uint64_t> visitedEpoch_;
-  std::uint64_t epoch_ = 0;
-  std::vector<NodeId> walkBuf_;
+  /// Absent when the (src, dst, nodeCount) triple is unusable.
+  std::optional<PathTracer> tracer_;
 
   bool episodeOpen_ = false;
 

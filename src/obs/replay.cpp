@@ -36,8 +36,8 @@ std::vector<NodeId> shadowWalk(const std::vector<std::vector<NodeId>>& fib, Node
 }
 
 /// Fold the path sequence into contiguous true-spans of `flag`.
-std::vector<ReplayWindow> windows(const std::vector<ReplayPathEvent>& events,
-                                  bool ReplayPathEvent::*flag) {
+std::vector<ReplayWindow> windows(const std::vector<PathEvent>& events,
+                                  bool PathEvent::*flag) {
   std::vector<ReplayWindow> out;
   bool open = false;
   for (const auto& e : events) {
@@ -88,16 +88,17 @@ ReplayResult replayTrace(const std::vector<TraceEvent>& events, const ReplayOpti
         if (!walkable) break;
         const auto node = static_cast<std::size_t>(ev.a);
         const auto dst = static_cast<std::size_t>(ev.x);
-        if (node >= opt.nodeCount || dst >= opt.nodeCount) {
+        if (node >= opt.nodeCount || dst >= opt.nodeCount ||
+            (ev.z != kInvalidNode && static_cast<std::size_t>(ev.z) >= opt.nodeCount)) {
           throw std::runtime_error("trace replay: RouteChange references a node outside 0..N-1");
         }
         fib[node][dst] = static_cast<NodeId>(ev.z);
         bool loop = false;
         bool blackhole = false;
         auto path = shadowWalk(fib, opt.src, opt.dst, &loop, &blackhole);
-        // PathTracer::snapshot's dedup: record only a *changed* path.
+        // Record only a *changed* path, like PathTracer.
         if (out.pathEvents.empty() || out.pathEvents.back().path != path) {
-          out.pathEvents.push_back(ReplayPathEvent{ev.t, std::move(path), loop, blackhole});
+          out.pathEvents.push_back(PathEvent{ev.t, std::move(path), loop, blackhole});
         }
         break;
       }
@@ -109,8 +110,8 @@ ReplayResult replayTrace(const std::vector<TraceEvent>& events, const ReplayOpti
     }
   }
 
-  out.loopWindows = windows(out.pathEvents, &ReplayPathEvent::loop);
-  out.blackholeWindows = windows(out.pathEvents, &ReplayPathEvent::blackhole);
+  out.loopWindows = windows(out.pathEvents, &PathEvent::loop);
+  out.blackholeWindows = windows(out.pathEvents, &PathEvent::blackhole);
   return out;
 }
 

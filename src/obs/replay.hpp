@@ -3,19 +3,20 @@
 // Offline reconstruction of a run's forwarding-plane story from its
 // rcsim-trace-v1 event stream — no simulator, no Network, just the events.
 //
-// The replayer mirrors the live pipeline exactly: it applies each
-// RouteChange to a shadow FIB, then re-runs Network::fibWalk's algorithm
-// from the traced sender toward the traced receiver and appends a path
-// record iff the path differs from the previous one — the same dedup
-// PathTracer::snapshot applies. Because snapshot() is driven solely by
-// the onRouteChange hook and fibWalk reads nothing but FIB state, the
-// reconstructed sequence is bit-identical to PathTracer::events() from
-// the live run (test_obs.cpp and `rcsim-trace --selftest` pin this).
+// The replayer is the independent oracle for the live path walker: it
+// applies each RouteChange to a dense N x N shadow FIB, re-runs
+// Network::fibWalk's algorithm from the traced sender toward the traced
+// receiver after *every* route change, and appends a path record iff the
+// path differs from the previous one. The live PathTracer (obs/
+// path_tracer.hpp) walks only the receiver's FIB column and only when it
+// changed; the two sequences must be bit-identical (test_obs.cpp, the
+// fuzzer and `rcsim-trace --selftest` pin this).
 
 #include <array>
 #include <cstdint>
 #include <vector>
 
+#include "obs/path_tracer.hpp"
 #include "obs/trace_io.hpp"
 
 namespace rcsim::obs {
@@ -24,16 +25,6 @@ struct ReplayOptions {
   NodeId src = kInvalidNode;  ///< traced sender (header meta "src")
   NodeId dst = kInvalidNode;  ///< traced receiver (header meta "dst")
   std::size_t nodeCount = 0;  ///< number of nodes (header meta "nodes")
-};
-
-/// One distinct forwarding path; mirrors PathTracer::PathEvent.
-struct ReplayPathEvent {
-  Time t{};
-  std::vector<NodeId> path;
-  bool loop = false;
-  bool blackhole = false;
-
-  friend bool operator==(const ReplayPathEvent&, const ReplayPathEvent&) = default;
 };
 
 /// A contiguous span during which the src→dst path looped / black-holed.
@@ -48,7 +39,7 @@ struct ReplayWindow {
 };
 
 struct ReplayResult {
-  std::vector<ReplayPathEvent> pathEvents;
+  std::vector<PathEvent> pathEvents;
   std::vector<ReplayWindow> loopWindows;
   std::vector<ReplayWindow> blackholeWindows;
   /// Chronological BGP update-pacing story: MraiArm / MraiFire /

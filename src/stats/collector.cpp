@@ -2,7 +2,6 @@
 
 #include <unordered_set>
 
-#include "net/network.hpp"
 #include "net/packet.hpp"
 
 namespace rcsim {
@@ -30,44 +29,40 @@ void bump(PacketCounters& c, DropReason reason) {
 
 }  // namespace
 
-StatsCollector::StatsCollector(Network& net, Config cfg) : net_{net}, cfg_{cfg} {
-  routeLog_.resize(net.nodeCount());
-  if (cfg_.trackPath && cfg_.sender != kInvalidNode && cfg_.receiver != kInvalidNode) {
-    tracer_ = std::make_unique<PathTracer>(net, cfg_.sender, cfg_.receiver);
+StatsCollector::StatsCollector(Network& net, Config cfg) : net_{net} {
+  if (cfg.sender != kInvalidNode && cfg.receiver != kInvalidNode) {
+    tracer_.emplace(cfg.sender, cfg.receiver, net.nodeCount());
   }
+  net_.addObserver(this);
 }
+
+StatsCollector::~StatsCollector() { net_.removeObserver(this); }
 
 void StatsCollector::setFailureWatermark(Time t) {
   watermark_ = t;
   routeLog_.setWatermark(t);
 }
 
-void StatsCollector::install() {
-  auto& hooks = net_.hooks();
-  hooks.onDrop = [this](Time t, NodeId where, const Packet& p, DropReason r) {
-    onDrop(t, where, p, r);
-  };
-  hooks.onDeliver = [this](Time t, NodeId node, const Packet& p) { onDeliver(t, node, p); };
-  hooks.onForward = [this](Time, NodeId, const Packet& p, NodeId) {
-    if (p.kind == PacketKind::Data) ++data_.forwarded;
-  };
-  hooks.onRouteChange = [this](Time t, NodeId node, NodeId dst, NodeId oldNh, NodeId newNh) {
-    routeLog_.record(t, node, dst, oldNh, newNh);
-    if (tracer_) tracer_->snapshot(t);
-  };
-  hooks.onControlSend = [this](Time t, NodeId, NodeId, const ControlPayload& payload) {
-    ++controlMessages_;
-    controlBytes_ += payload.sizeBytes();
-    if (t >= watermark_) ++controlMessagesAfter_;
-  };
+void StatsCollector::onForward(Time, NodeId, const Packet& p, NodeId) {
+  if (p.kind == PacketKind::Data) ++data_.forwarded;
 }
 
-void StatsCollector::onDrop(Time t, NodeId where, const Packet& p, DropReason reason) {
+void StatsCollector::onRouteChange(Time t, NodeId node, NodeId dst, NodeId, NodeId newNh) {
+  routeLog_.record(t);
+  if (tracer_) tracer_->onRouteChange(t, node, dst, newNh);
+}
+
+void StatsCollector::onControlSend(Time t, NodeId, NodeId, const ControlPayload& payload) {
+  ++controlMessages_;
+  controlBytes_ += payload.sizeBytes();
+  if (t >= watermark_) ++controlMessagesAfter_;
+}
+
+void StatsCollector::onDrop(Time t, NodeId /*where*/, const Packet& p, DropReason reason) {
   if (p.kind != PacketKind::Data) {
     bump(control_, reason);
     return;
   }
-  (void)where;
   bump(data_, reason);
   if (t >= watermark_) bump(dataAfter_, reason);
 }
@@ -75,10 +70,8 @@ void StatsCollector::onDrop(Time t, NodeId where, const Packet& p, DropReason re
 void StatsCollector::onDeliver(Time t, NodeId /*node*/, const Packet& p) {
   if (p.kind != PacketKind::Data) return;
   ++data_.delivered;
-  const double delay = (t - p.sendTime).toSeconds();
-  const bool looped = p.trace != nullptr && hasRepeatedNode(*p.trace);
-  if (looped) ++loopEscaped_;
-  series_.recordDelivery(t, delay, looped, p.trace ? p.trace->size() - 1 : 0);
+  if (p.trace != nullptr && hasRepeatedNode(*p.trace)) ++loopEscaped_;
+  series_.recordDelivery(t, (t - p.sendTime).toSeconds());
 }
 
 }  // namespace rcsim

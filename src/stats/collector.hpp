@@ -2,18 +2,14 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 
-#include "net/types.hpp"
-#include "stats/path_tracer.hpp"
+#include "net/network.hpp"
+#include "obs/path_tracer.hpp"
 #include "stats/route_log.hpp"
 #include "stats/timeseries.hpp"
 
 namespace rcsim {
-
-class Network;
-struct Packet;
 
 /// Packet-event tallies, split by cause. Data and control planes are
 /// counted separately so routing messages don't pollute Figure 3/4 numbers.
@@ -34,20 +30,29 @@ struct PacketCounters {
   }
 };
 
-/// One-stop instrumentation: installs itself into the network's hooks and
-/// feeds the counters, time series, route-change log and path tracer.
-class StatsCollector {
+/// One-stop instrumentation: observes the network from construction to
+/// destruction and feeds the counters, time series, route-change log and
+/// the sender->receiver path tracer.
+class StatsCollector final : public NetworkObserver {
  public:
   struct Config {
     NodeId sender = kInvalidNode;    ///< Data source (for path tracing).
     NodeId receiver = kInvalidNode;  ///< Data sink.
-    bool trackPath = true;
   };
 
+  /// Attaches itself via Network::addObserver. The path tracer exists iff
+  /// both endpoints are set; they must then be nodes of `net`.
   StatsCollector(Network& net, Config cfg);
+  ~StatsCollector() override;
 
-  /// Install network hooks. Must be the only hooks user for this network.
-  void install();
+  StatsCollector(const StatsCollector&) = delete;
+  StatsCollector& operator=(const StatsCollector&) = delete;
+
+  void onDrop(Time t, NodeId where, const Packet& p, DropReason reason) override;
+  void onDeliver(Time t, NodeId node, const Packet& p) override;
+  void onForward(Time t, NodeId node, const Packet& p, NodeId nextHop) override;
+  void onRouteChange(Time t, NodeId node, NodeId dst, NodeId oldNh, NodeId newNh) override;
+  void onControlSend(Time t, NodeId from, NodeId to, const ControlPayload& payload) override;
 
   /// Set the failure watermark on all sub-collectors.
   void setFailureWatermark(Time t);
@@ -57,7 +62,9 @@ class StatsCollector {
   [[nodiscard]] const TimeSeries& series() const { return series_; }
   [[nodiscard]] const RouteChangeLog& routeLog() const { return routeLog_; }
   [[nodiscard]] RouteChangeLog& routeLog() { return routeLog_; }
-  [[nodiscard]] const PathTracer* tracer() const { return tracer_.get(); }
+  [[nodiscard]] const obs::PathTracer* tracer() const {
+    return tracer_ ? &*tracer_ : nullptr;
+  }
 
   /// Data packets dropped at/after the watermark, by reason (the paper's
   /// Figures 3 and 4 count only convergence-period drops).
@@ -74,17 +81,13 @@ class StatsCollector {
   }
 
  private:
-  void onDrop(Time t, NodeId where, const Packet& p, DropReason reason);
-  void onDeliver(Time t, NodeId node, const Packet& p);
-
   Network& net_;
-  Config cfg_;
   PacketCounters data_;
   PacketCounters dataAfter_;
   PacketCounters control_;
   TimeSeries series_;
   RouteChangeLog routeLog_;
-  std::unique_ptr<PathTracer> tracer_;
+  std::optional<obs::PathTracer> tracer_;
   Time watermark_ = Time::infinity();
   std::uint64_t loopEscaped_ = 0;
   std::uint64_t controlMessages_ = 0;

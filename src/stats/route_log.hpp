@@ -1,9 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "net/types.hpp"
 #include "sim/time.hpp"
 
 namespace rcsim {
@@ -13,24 +11,20 @@ namespace rcsim {
 /// last route change after the failure watermark.
 class RouteChangeLog {
  public:
-  void resize(std::size_t nodeCount) { lastPerDst_.assign(nodeCount, Time::zero()); }
-
   /// The failure-injection time; changes at or after it count as
   /// convergence activity.
   void setWatermark(Time t) { watermark_ = t; }
   [[nodiscard]] Time watermark() const { return watermark_; }
 
-  void record(Time t, NodeId node, NodeId dst, NodeId oldNh, NodeId newNh);
-
-  [[nodiscard]] Time lastChangeAny() const { return lastAny_; }
-  [[nodiscard]] Time lastChangeFor(NodeId dst) const {
-    return lastPerDst_[static_cast<std::size_t>(dst)];
+  /// Count one route change at `t`.
+  void record(Time t) {
+    ++total_;
+    lastAny_ = t;
+    if (t >= watermark_) ++afterWatermark_;
   }
+
   [[nodiscard]] std::uint64_t totalChanges() const { return total_; }
   [[nodiscard]] std::uint64_t changesAfterWatermark() const { return afterWatermark_; }
-  /// Routes lost (new next hop invalid) after the watermark — the
-  /// switch-over black-hole events.
-  [[nodiscard]] std::uint64_t routeLossesAfterWatermark() const { return lossesAfterWatermark_; }
 
   /// Seconds from watermark to the last observed change (0 when no change
   /// happened after the watermark).
@@ -42,10 +36,8 @@ class RouteChangeLog {
  private:
   Time watermark_ = Time::infinity();
   Time lastAny_ = Time::zero();
-  std::vector<Time> lastPerDst_;
   std::uint64_t total_ = 0;
   std::uint64_t afterWatermark_ = 0;
-  std::uint64_t lossesAfterWatermark_ = 0;
 };
 
 }  // namespace rcsim

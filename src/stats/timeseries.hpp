@@ -14,17 +14,13 @@ class TimeSeries {
  public:
   struct Bucket {
     std::uint32_t delivered = 0;
-    double delaySum = 0.0;            ///< seconds, over delivered packets
-    std::uint32_t loopedDelivered = 0;  ///< delivered after escaping a loop
-    std::uint64_t hopSum = 0;
+    double delaySum = 0.0;  ///< seconds, over delivered packets
   };
 
-  void recordDelivery(Time t, double delaySec, bool looped, std::size_t hops) {
+  void recordDelivery(Time t, double delaySec) {
     auto& b = bucketAt(t);
     ++b.delivered;
     b.delaySum += delaySec;
-    if (looped) ++b.loopedDelivered;
-    b.hopSum += hops;
   }
 
   [[nodiscard]] const Bucket& bucket(int second) const {

@@ -69,7 +69,7 @@ TEST(Assertions, SpeedsUpDestinationWithdrawal) {
     tn.net().findLink(1, 4)->fail();
     tn.net().findLink(3, 4)->fail();
     Time last = Time::zero();
-    tn.net().hooks().onRouteChange = [&last, &tn](Time t, NodeId, NodeId, NodeId, NodeId) {
+    tn.probe().routeChange = [&last, &tn](Time t, NodeId, NodeId, NodeId, NodeId) {
       last = t;
     };
     tn.runUntil(400_sec);

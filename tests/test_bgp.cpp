@@ -127,8 +127,8 @@ TEST(Bgp, MraiPacesConsecutiveUpdates) {
   cfg.bgp.mraiMaxSec = 5.0;  // deterministic spacing
   TestNet tn{testutil::ringTopology(6), ProtocolKind::Bgp, cfg};
   std::vector<Time> updateTimes;
-  tn.net().hooks().onControlSend = [&](Time t, NodeId from, NodeId to,
-                                       const ControlPayload& payload) {
+  tn.probe().controlSend = [&](Time t, NodeId from, NodeId to,
+                               const ControlPayload& payload) {
     if (from != 1 || to != 0) return;
     const auto* seg = dynamic_cast<const TransportSegment*>(&payload);
     if (seg == nullptr || seg->isAck || !seg->inner) return;
@@ -215,7 +215,7 @@ TEST(BgpQuiescence, NoUpdatesInSteadyState) {
   TestNet tn{topo, ProtocolKind::Bgp, cfg};
   tn.warmUp(200_sec);
   std::uint64_t messages = 0;
-  tn.net().hooks().onControlSend = [&messages](Time, NodeId, NodeId, const ControlPayload&) {
+  tn.probe().controlSend = [&messages](Time, NodeId, NodeId, const ControlPayload&) {
     ++messages;
   };
   tn.runUntil(400_sec);
@@ -231,8 +231,8 @@ TEST(BgpQuiescence, MraiJitterStaysInConfiguredBounds) {
   // Force a burst of changes, then measure the spacing of consecutive
   // advertisement batches from one node to one peer.
   std::vector<Time> sends;
-  tn.net().hooks().onControlSend = [&sends](Time t, NodeId from, NodeId to,
-                                            const ControlPayload& payload) {
+  tn.probe().controlSend = [&sends](Time t, NodeId from, NodeId to,
+                                    const ControlPayload& payload) {
     if (from != 2 || to != 1) return;
     const auto* seg = dynamic_cast<const TransportSegment*>(&payload);
     if (seg == nullptr || seg->isAck || !seg->inner) return;

@@ -107,7 +107,7 @@ TEST_P(Conformance, NoControlTrafficExplosionInSteadyState) {
   TestNet tn{testutil::ringTopology(6), GetParam(), conformanceConfig()};
   tn.warmUp(200_sec);
   std::uint64_t messages = 0;
-  tn.net().hooks().onControlSend = [&messages](Time, NodeId, NodeId, const ControlPayload&) {
+  tn.probe().controlSend = [&messages](Time, NodeId, NodeId, const ControlPayload&) {
     ++messages;
   };
   tn.runUntil(260_sec);

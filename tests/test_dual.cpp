@@ -80,7 +80,7 @@ TEST(Dual, NoTransientLoopsOnRingFailure) {
   TestNet tn{testutil::ringTopology(8), ProtocolKind::Dual};
   tn.warmUp(2_sec);
   bool everLooped = false;
-  tn.net().hooks().onRouteChange = [&](Time, NodeId, NodeId, NodeId, NodeId) {
+  tn.probe().routeChange = [&](Time, NodeId, NodeId, NodeId, NodeId) {
     for (NodeId s = 0; s < 8 && !everLooped; ++s) {
       for (NodeId d = 0; d < 8; ++d) {
         bool loop = false;

@@ -22,8 +22,8 @@ struct Capture {
 class DvEngine : public ::testing::Test {
  protected:
   void install(TestNet& tn) {
-    tn.net().hooks().onControlSend = [this](Time t, NodeId from, NodeId to,
-                                            const ControlPayload& payload) {
+    tn.probe().controlSend = [this](Time t, NodeId from, NodeId to,
+                                    const ControlPayload& payload) {
       if (const auto* u = dynamic_cast<const DvUpdate*>(&payload)) {
         captured_.push_back(Capture{t, from, to, u->entries});
       }

@@ -4,6 +4,7 @@
 
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
+#include "test_util.hpp"
 
 namespace rcsim {
 namespace {
@@ -21,10 +22,10 @@ struct LinkFixture : ::testing::Test {
     link = &net.addLink(a, b, cfg);
     net.finalize();
 
-    net.hooks().onDeliver = [this](Time t, NodeId node, const Packet& p) {
+    probe.deliver = [this](Time t, NodeId node, const Packet& p) {
       deliveries.push_back({t, node, p.id});
     };
-    net.hooks().onDrop = [this](Time, NodeId, const Packet&, DropReason r) {
+    probe.drop = [this](Time, NodeId, const Packet&, DropReason r) {
       drops.push_back(r);
     };
   }
@@ -49,6 +50,7 @@ struct LinkFixture : ::testing::Test {
 
   Scheduler sched;
   Network net;
+  testutil::NetworkProbe probe{net};
   NodeId a{}, b{};
   LinkConfig cfg;
   Link* link = nullptr;

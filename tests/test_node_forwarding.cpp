@@ -2,6 +2,7 @@
 
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
+#include "test_util.hpp"
 
 namespace rcsim {
 namespace {
@@ -22,15 +23,15 @@ struct ForwardingFixture : ::testing::Test {
     net.node(m).setRoute(a, a);
     net.node(b).setRoute(a, m);
 
-    net.hooks().onDeliver = [this](Time t, NodeId n, const Packet& p) {
+    probe.deliver = [this](Time t, NodeId n, const Packet& p) {
       delivered.push_back(p);
       deliveredAt.push_back(t);
       deliveredNode.push_back(n);
     };
-    net.hooks().onDrop = [this](Time, NodeId n, const Packet&, DropReason r) {
+    probe.drop = [this](Time, NodeId n, const Packet&, DropReason r) {
       drops.emplace_back(n, r);
     };
-    net.hooks().onForward = [this](Time, NodeId n, const Packet&, NodeId nh) {
+    probe.forward = [this](Time, NodeId n, const Packet&, NodeId nh) {
       forwards.emplace_back(n, nh);
     };
   }
@@ -51,6 +52,7 @@ struct ForwardingFixture : ::testing::Test {
   Scheduler sched;
   LinkConfig cfg;
   Network net;
+  testutil::NetworkProbe probe{net};
   NodeId a{}, m{}, b{};
   std::vector<Packet> delivered;
   std::vector<Time> deliveredAt;
@@ -129,7 +131,7 @@ TEST_F(ForwardingFixture, TwoNodeForwardingLoopExpiresTtl) {
 
 TEST_F(ForwardingFixture, RouteChangeHookFires) {
   std::vector<std::tuple<NodeId, NodeId, NodeId, NodeId>> changes;
-  net.hooks().onRouteChange = [&](Time, NodeId n, NodeId dst, NodeId oldNh, NodeId newNh) {
+  probe.routeChange = [&](Time, NodeId n, NodeId dst, NodeId oldNh, NodeId newNh) {
     changes.emplace_back(n, dst, oldNh, newNh);
   };
   net.node(a).setRoute(b, m);  // unchanged: no event

@@ -27,6 +27,7 @@
 #include "obs/replay.hpp"
 #include "obs/trace_io.hpp"
 #include "stats/collector.hpp"
+#include "test_util.hpp"
 
 namespace rcsim::obs {
 namespace {
@@ -323,6 +324,19 @@ void expectReplayMatchesPathTracer(ProtocolKind kind, std::uint64_t seed) {
   Scenario sc{cfg};
   MemoryTraceSink sink;
   sc.network().trace().setSink(&sink);
+  // Reference walker over the *real* FIBs: Network::fibWalk after every
+  // route change, recording only changed paths. The live PathTracer sees
+  // only the route-change arguments, so agreement also shows that those
+  // arguments reflect the FIB writes.
+  std::vector<PathEvent> walked;
+  testutil::NetworkProbe reference{sc.network()};
+  reference.routeChange = [&](Time t, NodeId, NodeId, NodeId, NodeId) {
+    bool loop = false;
+    bool blackhole = false;
+    auto path = sc.network().fibWalk(sc.sender(), sc.receiver(), &loop, &blackhole);
+    if (!walked.empty() && walked.back().path == path) return;
+    walked.push_back(PathEvent{t, std::move(path), loop, blackhole});
+  };
   sc.run();
 
   ReplayOptions opt;
@@ -342,6 +356,8 @@ void expectReplayMatchesPathTracer(ProtocolKind kind, std::uint64_t seed) {
     EXPECT_EQ(r.loop, l.loop) << "path event " << i;
     EXPECT_EQ(r.blackhole, l.blackhole) << "path event " << i;
   }
+  EXPECT_TRUE(walked == live->events()) << walked.size() << " walked vs "
+                                        << live->events().size() << " live path events";
   // The data-plane tallies must agree with the live collector too
   // (control packets are consumed before deliverLocally, so Deliver
   // events are data-only).
@@ -675,6 +691,11 @@ TEST(Anatomy, RouteChangeOutsideNodeCountThrows) {
   events.push_back(
       TraceEvent{Time::seconds(1.0), TraceKind::RouteChange, 5, kInvalidNode, 2, kInvalidNode, 1});
   EXPECT_THROW((void)analyzeTrace(events, opt), std::runtime_error);
+  // A next hop past the node count would send the walk out of bounds.
+  events[0].a = 0;
+  events[0].z = 7;
+  EXPECT_THROW((void)analyzeTrace(events, opt), std::runtime_error);
+  EXPECT_THROW((void)replayTrace(events, opt), std::runtime_error);
 }
 
 TEST(ExecutorMetrics, ProgressCountsReplicas) {

@@ -134,7 +134,7 @@ TEST(Rip, MessageRespectsEntryCap) {
   TestNet tn{topo, ProtocolKind::Rip, cfg};
   std::size_t maxEntries = 0;
   std::uint64_t messages = 0;
-  tn.net().hooks().onControlSend = [&](Time, NodeId, NodeId, const ControlPayload& payload) {
+  tn.probe().controlSend = [&](Time, NodeId, NodeId, const ControlPayload& payload) {
     if (const auto* u = dynamic_cast<const DvUpdate*>(&payload)) {
       maxEntries = std::max(maxEntries, u->entries.size());
       ++messages;

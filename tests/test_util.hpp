@@ -4,6 +4,7 @@
 // kind everywhere, ready to run — a miniature of core/Scenario for unit
 // tests on arbitrary hand-made graphs.
 
+#include <functional>
 #include <memory>
 
 #include "net/network.hpp"
@@ -12,6 +13,42 @@
 #include "topo/topology.hpp"
 
 namespace rcsim::testutil {
+
+/// A NetworkObserver whose callbacks are optional std::function slots, for
+/// tests that watch one or two event kinds. Attaches on construction and
+/// detaches on destruction, so it must not outlive its network.
+class NetworkProbe final : public NetworkObserver {
+ public:
+  explicit NetworkProbe(Network& net) : net_{net} { net_.addObserver(this); }
+  ~NetworkProbe() override { net_.removeObserver(this); }
+  NetworkProbe(const NetworkProbe&) = delete;
+  NetworkProbe& operator=(const NetworkProbe&) = delete;
+
+  std::function<void(Time, NodeId where, const Packet&, DropReason)> drop;
+  std::function<void(Time, NodeId, const Packet&)> deliver;
+  std::function<void(Time, NodeId, const Packet&, NodeId nextHop)> forward;
+  std::function<void(Time, NodeId node, NodeId dst, NodeId oldNh, NodeId newNh)> routeChange;
+  std::function<void(Time, NodeId from, NodeId to, const ControlPayload&)> controlSend;
+
+  void onDrop(Time t, NodeId where, const Packet& p, DropReason r) override {
+    if (drop) drop(t, where, p, r);
+  }
+  void onDeliver(Time t, NodeId node, const Packet& p) override {
+    if (deliver) deliver(t, node, p);
+  }
+  void onForward(Time t, NodeId node, const Packet& p, NodeId nh) override {
+    if (forward) forward(t, node, p, nh);
+  }
+  void onRouteChange(Time t, NodeId node, NodeId dst, NodeId oldNh, NodeId newNh) override {
+    if (routeChange) routeChange(t, node, dst, oldNh, newNh);
+  }
+  void onControlSend(Time t, NodeId from, NodeId to, const ControlPayload& payload) override {
+    if (controlSend) controlSend(t, from, to, payload);
+  }
+
+ private:
+  Network& net_;
+};
 
 class TestNet {
  public:
@@ -38,6 +75,8 @@ class TestNet {
 
   [[nodiscard]] Scheduler& scheduler() { return sched_; }
   [[nodiscard]] Network& net() { return net_; }
+  /// An observer attached for the TestNet's whole life; set its slots.
+  [[nodiscard]] NetworkProbe& probe() { return probe_; }
   [[nodiscard]] Node& node(NodeId id) { return net_.node(id); }
   [[nodiscard]] NodeId nextHop(NodeId node, NodeId dst) {
     return net_.node(node).fib().nextHop(dst);
@@ -51,6 +90,7 @@ class TestNet {
  private:
   Scheduler sched_;
   Network net_;
+  NetworkProbe probe_{net_};
 };
 
 /// A path graph 0-1-2-...-(n-1).

@@ -150,10 +150,11 @@ int runSelftest(const ScenarioConfig& cfg) {
       return 1;
     }
   }
-  // Third implementation of the same reconstruction: the streaming
-  // ConvergenceAnalyzer that watched the run live must agree with the
-  // offline replay element-wise (the fuzzer enforces this on random
-  // scenarios; the selftest pins it on the canonical ones).
+  // The streaming ConvergenceAnalyzer walks the same column from the
+  // trace stream instead of the network's route changes, and folds the
+  // windows incrementally: it must agree with the offline replay
+  // element-wise (the fuzzer enforces this on random scenarios; the
+  // selftest pins it on the canonical ones).
   if (const auto* anatomy = sc.convergenceAnalyzer()) {
     const auto& online = anatomy->report();
     if (online.pathEvents != r.pathEvents || online.loopWindows != r.loopWindows ||
@@ -167,6 +168,43 @@ int runSelftest(const ScenarioConfig& cfg) {
               sink.events().size(), obs::traceDigest(sink.events()).c_str());
   return 0;
 }
+
+/// Live-mode formatter: one tab-separated line per event of a selected
+/// kind inside [from, to].
+class LivePrinter final : public obs::TraceSink {
+ public:
+  LivePrinter(Time from, Time to, const std::set<std::string>& kinds)
+      : from_{from}, to_{to}, kinds_{kinds} {}
+
+  void onTraceEvent(const obs::TraceEvent& ev) override {
+    if (ev.t < from_ || ev.t > to_) return;
+    const double t = ev.t.toSeconds();
+    if (ev.kind == obs::TraceKind::RouteChange && want("rt")) {
+      std::printf("%12.6f\trt\tnode=%d dst=%d %d -> %d\n", t, ev.a, static_cast<int>(ev.x),
+                  static_cast<int>(ev.y), static_cast<int>(ev.z));
+    } else if (ev.kind == obs::TraceKind::Forward && want("fwd")) {
+      std::printf("%12.6f\tfwd\t%d -> %d  pkt=%llu ttl=%d\n", t, ev.a, ev.b,
+                  static_cast<unsigned long long>(ev.x), static_cast<int>(ev.y));
+    } else if (ev.kind == obs::TraceKind::Drop && ev.z == 1 && want("drop")) {
+      std::printf("%12.6f\tdrop\tnode=%d pkt=%llu reason=%s\n", t, ev.a,
+                  static_cast<unsigned long long>(ev.x), toString(static_cast<DropReason>(ev.y)));
+    } else if (ev.kind == obs::TraceKind::Deliver && want("del")) {
+      std::printf("%12.6f\tdel\tnode=%d pkt=%llu delay=%.6f hops=%lld\n", t, ev.a,
+                  static_cast<unsigned long long>(ev.x),
+                  (ev.t - Time::nanoseconds(ev.y)).toSeconds(),
+                  static_cast<long long>(ev.z > 0 ? ev.z - 1 : 0));
+    } else if (ev.category() == obs::TraceCategory::Failure && want("fail")) {
+      std::printf("%12.6f\tfail\tlink (%d,%d) %s\n", t, ev.a, ev.b,
+                  ev.kind == obs::TraceKind::LinkUp ? "recovered" : "failed");
+    }
+  }
+
+ private:
+  [[nodiscard]] bool want(const char* kind) const { return kinds_.count(kind) > 0; }
+
+  Time from_, to_;
+  const std::set<std::string>& kinds_;
+};
 
 }  // namespace
 
@@ -246,61 +284,12 @@ int main(int argc, char** argv) {
   auto inWindow = [&](Time t) { return t >= from && t <= to; };
   auto want = [&](const char* k) { return kinds.count(k) > 0; };
 
-  // The StatsCollector owns the network hooks; wrap them so both the stats
-  // and the trace output see every event.
-  auto& hooks = sc.network().hooks();
-  const auto prevRoute = hooks.onRouteChange;
-  hooks.onRouteChange = [&, prevRoute](Time t, NodeId n, NodeId d, NodeId o, NodeId nw) {
-    if (prevRoute) prevRoute(t, n, d, o, nw);
-    if (want("rt") && inWindow(t)) {
-      std::printf("%12.6f\trt\tnode=%d dst=%d %d -> %d\n", t.toSeconds(), n, d, o, nw);
-    }
-  };
-  const auto prevForward = hooks.onForward;
-  hooks.onForward = [&, prevForward](Time t, NodeId n, const Packet& p, NodeId nh) {
-    if (prevForward) prevForward(t, n, p, nh);
-    if (want("fwd") && inWindow(t) && p.kind == PacketKind::Data) {
-      std::printf("%12.6f\tfwd\t%d -> %d  pkt=%llu ttl=%d\n", t.toSeconds(), n, nh,
-                  static_cast<unsigned long long>(p.id), p.ttl);
-    }
-  };
-  const auto prevDrop = hooks.onDrop;
-  hooks.onDrop = [&, prevDrop](Time t, NodeId n, const Packet& p, DropReason r) {
-    if (prevDrop) prevDrop(t, n, p, r);
-    if (want("drop") && inWindow(t) && p.kind == PacketKind::Data) {
-      std::printf("%12.6f\tdrop\tnode=%d pkt=%llu reason=%s\n", t.toSeconds(), n,
-                  static_cast<unsigned long long>(p.id), toString(r));
-    }
-  };
-  const auto prevDeliver = hooks.onDeliver;
-  hooks.onDeliver = [&, prevDeliver](Time t, NodeId n, const Packet& p) {
-    if (prevDeliver) prevDeliver(t, n, p);
-    if (want("del") && inWindow(t) && p.kind == PacketKind::Data) {
-      std::printf("%12.6f\tdel\tnode=%d pkt=%llu delay=%.6f hops=%zu\n", t.toSeconds(), n,
-                  static_cast<unsigned long long>(p.id), (t - p.sendTime).toSeconds(),
-                  p.trace ? p.trace->size() - 1 : 0);
-    }
-  };
-  // Link up/down transitions arrive through the typed tracer's Failure
-  // channel now (there are no string traces left to subscribe to).
-  class FailPrinter final : public obs::TraceSink {
-   public:
-    FailPrinter(Time from, Time to) : from_{from}, to_{to} {}
-    void onTraceEvent(const obs::TraceEvent& ev) override {
-      if (ev.t < from_ || ev.t > to_) return;
-      std::printf("%12.6f\tfail\tlink (%d,%d) %s\n", ev.t.toSeconds(), ev.a, ev.b,
-                  ev.kind == obs::TraceKind::LinkUp ? "recovered" : "failed");
-    }
-
-   private:
-    Time from_, to_;
-  };
-  FailPrinter failPrinter{from, to};
-  if (want("fail")) {
-    sc.network().trace().setSink(&failPrinter);
-    sc.network().trace().setCategoryMask(1u << static_cast<unsigned>(obs::TraceCategory::Failure));
-  }
-
+  // Every live line but `path` is a formatted trace event. The printer
+  // chains behind the scenario's anatomy profiler, so the run it prints is
+  // the run it measures. Forward and Deliver events are data-plane only
+  // (control packets never reach Node::route or deliverLocally).
+  LivePrinter printer{from, to, kinds};
+  sc.attachTraceSink(&printer);
   sc.run();
 
   if (want("path")) {
