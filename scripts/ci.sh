@@ -83,8 +83,9 @@ done
 bash scripts/chaos_resume_test.sh "$BUILD/bench/rcsim_bench"
 
 # Sanitizer job: a separate ASan+UBSan build runs a smoke subset of the
-# suite (the memory-heavy paths: events, links, transport, faults, the
-# network observer list and the receiver-column path walker). The
+# suite (the memory-heavy paths: events, links and their parked packets,
+# CBR sources, transport, faults, the network observer list, the
+# receiver-column path walker and the golden runs). The
 # tier-1 gate above stays plain Release so its timings and golden digests
 # are undisturbed.
 SAN_BUILD=${SAN_BUILD:-build-asan}
@@ -94,7 +95,7 @@ cmake --build "$SAN_BUILD" -j "$(nproc)"
 # SPF against a full-BFS oracle (src/routing/linkstate.cpp), so the
 # sanitizer job also proves incremental == full element-wise under ASan.
 RCSIM_SPF_ORACLE=1 ctest --test-dir "$SAN_BUILD" --output-on-failure --timeout 600 \
-  -R 'Scheduler|Link|Reliable|Churn|Fault|Invariant|Executor|Sweep|Journal|LinkState|RoutingState|Spf|Detector|Damping|Anatomy|Inspect|inspect|trace_record|Stats|Tracer|TraceReplay|ForwardingFixture|Network'
+  -R 'Scheduler|Link|Reliable|Churn|Fault|Invariant|Executor|Sweep|Journal|LinkState|RoutingState|Spf|Detector|Damping|Anatomy|Inspect|inspect|trace_record|Stats|Tracer|TraceReplay|ForwardingFixture|Network|Cbr|Golden'
 
 # TSan job: a -fsanitize=thread build runs the concurrency-heavy suites
 # (SweepExecutor's work queue, the lock-free metrics registry, journaled

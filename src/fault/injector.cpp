@@ -11,8 +11,10 @@ FaultInjector::FaultInjector(Network& net, FaultPlan plan, ProtocolFactory facto
 
 void FaultInjector::install() {
   auto& sched = net_.scheduler();
-  for (const auto& ev : plan_.events) {
-    sched.scheduleAt(ev.at, EventKind::Fault, [this, ev] { apply(ev); });
+  // An index into the const plan, not a copy of the event, keeps the
+  // callback inside the scheduler's inline storage.
+  for (std::size_t i = 0; i < plan_.events.size(); ++i) {
+    sched.scheduleAt(plan_.events[i].at, EventKind::Fault, [this, i] { apply(plan_.events[i]); });
   }
 }
 

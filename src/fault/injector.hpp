@@ -65,7 +65,7 @@ class FaultInjector {
   [[nodiscard]] static std::string groupKey(std::vector<NodeId> group);
 
   Network& net_;
-  FaultPlan plan_;
+  const FaultPlan plan_;  ///< Read-only: scheduled events index into it.
   ProtocolFactory factory_;
   std::function<void()> onFirstFault_;
   std::set<NodeId> downNodes_;

@@ -37,16 +37,16 @@ void Link::startTransmission(int dir) {
   auto& d = dirs_[dir];
   assert(!d.queue.empty());
   d.transmitting = true;
-  Packet p = std::move(d.queue.front());
-  d.queue.pop_front();
-
   auto& sched = net_.scheduler();
-  const Time txDone = transmissionTime(p);
+  const Time txDone = transmissionTime(d.queue.front());
+  const std::uint32_t slot = net_.park(std::move(d.queue.front()));
+  d.queue.pop_front();
   const std::uint64_t epoch = epoch_;
   net_.notifyLinkTransmit(sched.now(), dir == 0 ? a_ : b_, receiverOf(dir), up_);
   // Serialization completes first; then the bits propagate. If the link
-  // fails in between, the packet is lost (epoch check).
-  sched.scheduleAfter(txDone, EventKind::LinkDelivery, [this, dir, epoch, p = std::move(p)]() mutable {
+  // fails in between, the packet is lost (epoch check). The packet stays
+  // parked on the network across both events.
+  sched.scheduleAfter(txDone, EventKind::LinkDelivery, [this, dir, epoch, slot] {
     auto& d2 = dirs_[dir];
     d2.transmitting = false;
     if (up_ && epoch == epoch_) {
@@ -60,39 +60,13 @@ void Link::startTransmission(int dir) {
       }
       // Control-plane delay impairment: fixed extra propagation for control
       // packets only (hellos, routing updates). No randomness involved.
-      if (p.kind == PacketKind::Control && ctrlDelay_ > Time::zero()) {
+      if (net_.parked(slot).kind == PacketKind::Control && ctrlDelay_ > Time::zero()) {
         prop = prop + ctrlDelay_;
       }
       net_.scheduler().scheduleAfter(prop, EventKind::LinkDelivery,
-                                     [this, to, from, epoch, p2 = std::move(p)]() mutable {
-        if (up_ && epoch == epoch_) {
-          const bool ctrl = p2.kind == PacketKind::Control;
-          // Loss/corruption are decided at arrival, after the wire survived
-          // the trip. Corrupted frames fail the checksum and are dropped —
-          // same fate as random loss, but accounted separately. Control
-          // packets additionally face the control-plane-only loss draw.
-          if (ctrl && ctrlLossRate_ > 0.0 && net_.rng().uniform01() < ctrlLossRate_) {
-            net_.notifyDrop(net_.scheduler().now(), from, p2, DropReason::RandomLoss);
-          } else if (lossRate_ > 0.0 && net_.rng().uniform01() < lossRate_) {
-            net_.notifyDrop(net_.scheduler().now(), from, p2, DropReason::RandomLoss);
-          } else if (corruptRate_ > 0.0 && net_.rng().uniform01() < corruptRate_) {
-            net_.notifyDrop(net_.scheduler().now(), from, p2, DropReason::Corrupted);
-          } else {
-            // Duplication impairment: the receiver sees the same control
-            // packet twice back to back (e.g. a misbehaving relay). Dup
-            // state in protocols and the detector must stay idempotent.
-            if (ctrl && ctrlDupRate_ > 0.0 && net_.rng().uniform01() < ctrlDupRate_) {
-              Packet copy = p2;
-              net_.node(to).receive(std::move(copy), from);
-            }
-            net_.node(to).receive(std::move(p2), from);
-          }
-        } else {
-          net_.notifyDrop(net_.scheduler().now(), from, p2, DropReason::InFlightCut);
-        }
-      });
+                                     [this, to, from, epoch, slot] { arrive(to, from, epoch, slot); });
     } else {
-      net_.notifyDrop(net_.scheduler().now(), receiverOf(dir) == b_ ? a_ : b_, p,
+      net_.notifyDrop(net_.scheduler().now(), receiverOf(dir) == b_ ? a_ : b_, net_.take(slot),
                       DropReason::InFlightCut);
     }
     // Restart the transmitter regardless of what happened to this packet:
@@ -100,6 +74,36 @@ void Link::startTransmission(int dir) {
     // which case fresh packets may already be waiting in the queue.
     if (up_ && !d2.queue.empty()) startTransmission(dir);
   });
+}
+
+void Link::arrive(NodeId to, NodeId from, std::uint64_t epoch, std::uint32_t slot) {
+  // Unpark first: receive() may forward and park other packets.
+  Packet p = net_.take(slot);
+  if (!up_ || epoch != epoch_) {
+    net_.notifyDrop(net_.scheduler().now(), from, p, DropReason::InFlightCut);
+    return;
+  }
+  const bool ctrl = p.kind == PacketKind::Control;
+  // Loss/corruption are decided at arrival, after the wire survived the
+  // trip. Corrupted frames fail the checksum and are dropped — same fate as
+  // random loss, but accounted separately. Control packets additionally
+  // face the control-plane-only loss draw.
+  if (ctrl && ctrlLossRate_ > 0.0 && net_.rng().uniform01() < ctrlLossRate_) {
+    net_.notifyDrop(net_.scheduler().now(), from, p, DropReason::RandomLoss);
+  } else if (lossRate_ > 0.0 && net_.rng().uniform01() < lossRate_) {
+    net_.notifyDrop(net_.scheduler().now(), from, p, DropReason::RandomLoss);
+  } else if (corruptRate_ > 0.0 && net_.rng().uniform01() < corruptRate_) {
+    net_.notifyDrop(net_.scheduler().now(), from, p, DropReason::Corrupted);
+  } else {
+    // Duplication impairment: the receiver sees the same control packet
+    // twice back to back (e.g. a misbehaving relay). Dup state in
+    // protocols and the detector must stay idempotent.
+    if (ctrl && ctrlDupRate_ > 0.0 && net_.rng().uniform01() < ctrlDupRate_) {
+      Packet copy = p;
+      net_.node(to).receive(std::move(copy), from);
+    }
+    net_.node(to).receive(std::move(p), from);
+  }
 }
 
 void Link::fail() {

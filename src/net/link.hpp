@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 
 #include "net/packet.hpp"
@@ -82,6 +83,9 @@ class Link {
   };
 
   void startTransmission(int dir);
+  /// Propagation done: deliver the packet parked in `slot` to `to`, or
+  /// drop it if the link failed since it was sent.
+  void arrive(NodeId to, NodeId from, std::uint64_t epoch, std::uint32_t slot);
   [[nodiscard]] Time transmissionTime(const Packet& p) const;
   [[nodiscard]] int directionFrom(NodeId from) const { return from == a_ ? 0 : 1; }
   [[nodiscard]] NodeId receiverOf(int dir) const { return dir == 0 ? b_ : a_; }

@@ -139,6 +139,29 @@ class Network {
 
   std::uint64_t nextPacketId() { return nextPacketId_++; }
 
+  /// Packets crossing a link wait here between their link events, so those
+  /// events capture a slot index instead of a 96-byte Packet and fit the
+  /// scheduler's inline callback storage. One slab per network (not per
+  /// link) keeps it sized by the packets in flight network-wide.
+  std::uint32_t park(Packet&& p) {
+    if (freeParked_.empty()) {
+      parked_.push_back(std::move(p));
+      return static_cast<std::uint32_t>(parked_.size() - 1);
+    }
+    const std::uint32_t slot = freeParked_.back();
+    freeParked_.pop_back();
+    parked_[slot] = std::move(p);
+    return slot;
+  }
+  /// The packet in `slot`; invalidated by the next park().
+  [[nodiscard]] const Packet& parked(std::uint32_t slot) const { return parked_[slot]; }
+  /// Move the packet out of `slot` and free the slot.
+  Packet take(std::uint32_t slot) {
+    Packet p = std::move(parked_[slot]);
+    freeParked_.push_back(slot);
+    return p;
+  }
+
   /// Shortest path over currently-up links (BFS, unit costs), inclusive of
   /// both endpoints. Empty when unreachable.
   [[nodiscard]] std::vector<NodeId> shortestPathLive(NodeId src, NodeId dst) const;
@@ -160,6 +183,8 @@ class Network {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
   std::uint64_t nextPacketId_ = 1;
+  std::vector<Packet> parked_;
+  std::vector<std::uint32_t> freeParked_;
 };
 
 }  // namespace rcsim

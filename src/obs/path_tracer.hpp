@@ -49,6 +49,9 @@ class PathTracer {
 
   [[nodiscard]] const std::vector<PathEvent>& events() const { return events_; }
   [[nodiscard]] const std::vector<NodeId>& currentPath() const;
+  /// Walks done so far: one per receiver-column change, plus the first
+  /// route change when it was off the column.
+  [[nodiscard]] std::uint64_t walks() const { return epoch_; }
 
   /// Number of distinct transient paths observed at or after `watermark`.
   [[nodiscard]] int transientPathsAfter(Time watermark) const;
@@ -68,7 +71,7 @@ class PathTracer {
   /// Epoch-stamped visited marks + reused path buffer, so a walk allocates
   /// nothing beyond the events it records.
   std::vector<std::uint64_t> visitedEpoch_;
-  std::uint64_t epoch_ = 0;
+  std::uint64_t epoch_ = 0;  ///< Bumped once per walk.
   std::vector<NodeId> walkBuf_;
   std::vector<PathEvent> events_;
 };

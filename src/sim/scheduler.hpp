@@ -2,6 +2,7 @@
 
 #include <array>
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -44,9 +45,10 @@ inline constexpr int kEventKindCount = 7;
 }
 
 /// Type-erased callable with inline storage, sized for the simulator's event
-/// lambdas. Callables up to kInlineBytes are constructed directly inside the
-/// scheduler's pooled event slot — no per-event heap allocation on the hot
-/// path; larger ones fall back to a single heap cell.
+/// lambdas. Every callable is constructed directly inside the scheduler's
+/// pooled event slot, so scheduling never allocates. A callable larger than
+/// kInlineBytes does not compile: capture an index or a pointer to state
+/// that outlives the event instead of the state itself.
 ///
 /// Slots never relocate (the pool is chunked, see Scheduler), so the
 /// callable is pinned: constructed once via emplace(), invoked in place,
@@ -54,6 +56,11 @@ inline constexpr int kEventKindCount = 7;
 class EventCallback {
  public:
   static constexpr std::size_t kInlineBytes = 48;
+
+  /// Whether a callable of type F fits the inline storage.
+  template <typename F>
+  static constexpr bool fitsInline = sizeof(std::remove_cvref_t<F>) <= kInlineBytes &&
+                                     alignof(std::remove_cvref_t<F>) <= alignof(std::max_align_t);
 
   EventCallback() = default;
   EventCallback(const EventCallback&) = delete;
@@ -65,16 +72,12 @@ class EventCallback {
     requires(std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
   void emplace(F&& f) {
     using Fn = std::remove_cvref_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-      invoke_ = [](void* s) { (*std::launder(reinterpret_cast<Fn*>(s)))(); };
-      destroy_ = [](void* s) noexcept { std::launder(reinterpret_cast<Fn*>(s))->~Fn(); };
-    } else {
-      *reinterpret_cast<Fn**>(storage_) = new Fn(std::forward<F>(f));
-      invoke_ = [](void* s) { (**std::launder(reinterpret_cast<Fn**>(s)))(); };
-      destroy_ = [](void* s) noexcept { delete *std::launder(reinterpret_cast<Fn**>(s)); };
-    }
+    static_assert(fitsInline<Fn>,
+                  "event callable exceeds EventCallback::kInlineBytes (or max_align_t "
+                  "alignment); capture an index or pointer instead of the object");
+    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+    invoke_ = [](void* s) { (*std::launder(reinterpret_cast<Fn*>(s)))(); };
+    destroy_ = [](void* s) noexcept { std::launder(reinterpret_cast<Fn*>(s))->~Fn(); };
   }
 
   [[nodiscard]] explicit operator bool() const { return invoke_ != nullptr; }
@@ -95,6 +98,13 @@ class EventCallback {
   void (*destroy_)(void*) noexcept = nullptr;
 };
 
+/// What Scheduler::schedule* accepts: a void() callable that fits an event
+/// slot's inline storage. A constraint rather than only the static_assert
+/// in emplace(), so an oversized callable is rejected at the call site.
+template <typename F>
+concept EventCallable = std::is_invocable_r_v<void, std::remove_cvref_t<F>&> &&
+                        EventCallback::fitsInline<F>;
+
 /// Opaque handle returned by Scheduler::schedule*, usable for cancellation.
 /// Encodes (sequence number, pool slot); zero is the invalid handle.
 struct EventId {
@@ -105,11 +115,12 @@ struct EventId {
 /// Single-threaded discrete-event scheduler.
 ///
 /// Events scheduled for the same timestamp fire in FIFO order (stable by
-/// insertion sequence), which keeps protocol runs deterministic.
+/// insertion sequence, or by reserved sequence number, see
+/// reserveSequence), which keeps protocol runs deterministic.
 ///
 /// Storage is a chunked slab of pooled slots (callback + liveness key)
 /// indexed by a min-heap of plain 16-byte (time, key) records, where key
-/// packs the globally increasing sequence number with the slot index.
+/// packs the event's unique sequence number with the slot index.
 /// Chunks give slots stable addresses, so callbacks are constructed,
 /// invoked, and destroyed in place — never moved. Cancellation clears the
 /// slot's key and recycles it immediately — O(1), no tombstone set, no
@@ -128,7 +139,7 @@ class Scheduler {
 
   /// Schedule `f` at absolute time `at` (times before now() clamp to now).
   template <typename F>
-    requires(std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
+    requires EventCallable<F>
   EventId scheduleAt(Time at, F&& f) {
     return scheduleAt(at, EventKind::Generic, std::forward<F>(f));
   }
@@ -136,8 +147,28 @@ class Scheduler {
   /// Tagged variant: identical semantics, plus per-kind accounting (count
   /// and a power-of-two histogram of the scheduling delay in sim time).
   template <typename F>
-    requires(std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
+    requires EventCallable<F>
   EventId scheduleAt(Time at, EventKind kind, F&& f) {
+    return scheduleAt(at, kind, nextSeq_++, std::forward<F>(f));
+  }
+
+  /// Reserve `n` consecutive sequence numbers and return the first. Each
+  /// is later passed to the `seq` variant of scheduleAt, exactly once, so a
+  /// chain of events scheduled one at a time keeps the FIFO position it
+  /// would have had if all of them were scheduled now.
+  std::uint64_t reserveSequence(std::uint64_t n) {
+    const std::uint64_t first = nextSeq_;
+    nextSeq_ += n;
+    return first;
+  }
+
+  /// Schedule `f` at `at` under a sequence number from reserveSequence.
+  /// Among events at the same time it fires in `seq` order, not in the
+  /// order of scheduleAt calls.
+  template <typename F>
+    requires EventCallable<F>
+  EventId scheduleAt(Time at, EventKind kind, std::uint64_t seq, F&& f) {
+    assert(seq != 0 && seq < nextSeq_ && "sequence number was not reserved");
     if (at < now_) at = now_;
     const std::uint32_t slot = acquireSlot();
     Slot& s = slotRef(slot);
@@ -149,7 +180,7 @@ class Scheduler {
     // The key is unique for the scheduler's lifetime (sequence in the high
     // bits), so a recycled slot can never satisfy a stale handle or an
     // orphaned heap record.
-    const std::uint64_t key = (nextSeq_++ << kSlotBits) | slot;
+    const std::uint64_t key = (seq << kSlotBits) | slot;
     s.key = key;
     queue_.push(HeapItem{static_cast<std::uint64_t>(at.ns()), key});
     ++live_;
@@ -158,13 +189,13 @@ class Scheduler {
 
   /// Schedule `f` after `delay` from now (negative delays clamp to now).
   template <typename F>
-    requires(std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
+    requires EventCallable<F>
   EventId scheduleAfter(Time delay, F&& f) {
     return scheduleAfter(delay, EventKind::Generic, std::forward<F>(f));
   }
 
   template <typename F>
-    requires(std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
+    requires EventCallable<F>
   EventId scheduleAfter(Time delay, EventKind kind, F&& f) {
     if (delay < Time::zero()) delay = Time::zero();
     return scheduleAt(now_ + delay, kind, std::forward<F>(f));
@@ -193,7 +224,8 @@ class Scheduler {
   /// Total events executed so far (for perf accounting).
   [[nodiscard]] std::uint64_t executedEvents() const { return executed_; }
 
-  /// Total events ever scheduled (sequence numbers start at 1).
+  /// Total events ever scheduled, counting reserved sequence numbers as
+  /// scheduled (sequence numbers start at 1).
   [[nodiscard]] std::uint64_t scheduledEvents() const { return nextSeq_ - 1; }
 
   /// Total events cancelled while still pending.
@@ -245,7 +277,7 @@ class Scheduler {
     std::uint64_t key = 0;
 
     // Min-heap: earlier time first; FIFO among equal times (keys carry the
-    // sequence number in their high bits and are strictly increasing).
+    // unique sequence number in their high bits).
     bool operator<(const HeapItem& rhs) const {
 #if defined(__SIZEOF_INT128__)
       // One branchless 128-bit compare instead of compare-then-compare.

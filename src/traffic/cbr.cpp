@@ -11,11 +11,25 @@ namespace rcsim {
 CbrSource::CbrSource(Network& net, Config cfg) : net_{net}, cfg_{cfg} {}
 
 void CbrSource::install() {
-  auto& sched = net_.scheduler();
-  const double periodSec = 1.0 / cfg_.packetsPerSecond;
-  for (Time t = cfg_.start; t < cfg_.stop; t += Time::seconds(periodSec)) {
-    sched.scheduleAt(t, EventKind::Traffic, [this] { emitPacket(); });
-  }
+  period_ = Time::seconds(1.0 / cfg_.packetsPerSecond);
+  // Count with the same accumulation the emission times use, so the count
+  // and the last time are exact (the period need not divide the window).
+  for (Time t = cfg_.start; t < cfg_.stop; t += period_) ++remaining_;
+  if (remaining_ == 0) return;
+  nextAt_ = cfg_.start;
+  nextSeq_ = net_.scheduler().reserveSequence(remaining_);
+  scheduleNext();
+}
+
+void CbrSource::scheduleNext() {
+  net_.scheduler().scheduleAt(nextAt_, EventKind::Traffic, nextSeq_, [this] {
+    if (--remaining_ > 0) {
+      nextAt_ += period_;
+      ++nextSeq_;
+      scheduleNext();
+    }
+    emitPacket();
+  });
 }
 
 void CbrSource::emitPacket() {

@@ -27,18 +27,26 @@ class CbrSource {
 
   CbrSource(Network& net, Config cfg);
 
-  /// Schedule all emissions. (Emissions are pre-scheduled rather than
-  /// self-rescheduling so the source needs no per-run teardown.)
+  /// Schedule the emissions at start, start + period, ... before stop.
+  /// Only the next emission is ever pending: each one schedules its
+  /// successor. Their sequence numbers are reserved here, so every event of
+  /// the run fires in the order it would if all emissions were scheduled
+  /// at once. Call once, before Scheduler::run.
   void install();
 
   [[nodiscard]] std::uint64_t packetsSent() const { return sent_; }
 
  private:
+  void scheduleNext();
   void emitPacket();
 
   Network& net_;
   Config cfg_;
   std::uint64_t sent_ = 0;
+  Time period_;                  ///< Time::seconds(1 / packetsPerSecond).
+  Time nextAt_;                  ///< Time of the pending emission.
+  std::uint64_t nextSeq_ = 0;    ///< Its reserved sequence number.
+  std::uint64_t remaining_ = 0;  ///< Emissions not yet fired, pending one included.
 };
 
 }  // namespace rcsim

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
 namespace rcsim {
@@ -190,6 +194,107 @@ TEST(Scheduler, ManyEventsStressOrdering) {
   EXPECT_TRUE(monotone);
   EXPECT_EQ(s.executedEvents(), 20000u);
 }
+
+/// Events at times shared with a chain of five, the chain either scheduled
+/// all at once or one link at a time on reserved sequence numbers. Other
+/// events are scheduled before the chain, after it, and from inside a
+/// chain callback. Returns the firing order.
+std::vector<std::string> chainWithNeighbours(bool lazy) {
+  Scheduler s;
+  std::vector<std::string> order;
+  auto log = [&order](std::string name) { return [&order, name] { order.push_back(name); }; };
+  const std::vector<Time> chainAt{1_sec, 1_sec, 2_sec, 3_sec, 3_sec};
+  static constexpr const char* kChainNames[] = {"c0", "c1", "c2", "c3", "c4"};
+
+  s.scheduleAt(1_sec, log("a0"));
+  s.scheduleAt(2_sec, log("a1"));
+  // c1 schedules d at the chain's last timestamp.
+  auto chainEvent = [&](std::size_t i) {
+    return [&order, &s, i, &log] {
+      order.push_back(kChainNames[i]);
+      if (i == 1) s.scheduleAt(3_sec, log("d"));
+    };
+  };
+  std::uint64_t first = 0;
+  std::function<void(std::size_t)> scheduleLink = [&](std::size_t i) {
+    s.scheduleAt(chainAt[i], EventKind::Traffic, first + i, [&, i] {
+      if (i + 1 < chainAt.size()) scheduleLink(i + 1);
+      chainEvent(i)();
+    });
+  };
+  if (lazy) {
+    first = s.reserveSequence(chainAt.size());
+    scheduleLink(0);
+  } else {
+    for (std::size_t i = 0; i < chainAt.size(); ++i) {
+      s.scheduleAt(chainAt[i], EventKind::Traffic, chainEvent(i));
+    }
+  }
+  s.scheduleAt(1_sec, log("b0"));
+  s.scheduleAt(3_sec, log("b1"));
+  s.scheduleAt(2_sec, log("b2"));
+  EXPECT_EQ(s.scheduledEvents(), 10u);
+  EXPECT_EQ(s.pendingEvents(), lazy ? 6u : 10u);
+  s.run();
+  EXPECT_EQ(s.executedEvents(), 11u);
+  EXPECT_EQ(s.kindStats(EventKind::Traffic).executed, 5u);
+  return order;
+}
+
+TEST(Scheduler, ReservedSequenceFiresLikeAnEagerSchedule) {
+  const std::vector<std::string> eager = chainWithNeighbours(false);
+  EXPECT_EQ(eager, (std::vector<std::string>{"a0", "c0", "c1", "b0", "a1", "c2", "b2", "c3",
+                                             "c4", "b1", "d"}));
+  EXPECT_EQ(chainWithNeighbours(true), eager);
+}
+
+TEST(Scheduler, ReservedSequenceOrdersByNumberNotByCall) {
+  // Among equal times the reserved number decides, not the scheduling call.
+  Scheduler s;
+  std::vector<int> order;
+  const std::uint64_t first = s.reserveSequence(3);
+  s.scheduleAt(1_sec, [&] { order.push_back(0); });  // takes first + 3
+  s.scheduleAt(1_sec, EventKind::Generic, first + 2, [&] { order.push_back(3); });
+  s.scheduleAt(1_sec, EventKind::Generic, first, [&] { order.push_back(1); });
+  s.scheduleAt(1_sec, EventKind::Generic, first + 1, [&] { order.push_back(2); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 0}));
+  EXPECT_EQ(s.scheduledEvents(), 4u);
+}
+
+// Every callable lives inside its event slot: one over kInlineBytes is
+// rejected at compile time instead of falling back to the heap.
+struct Oversized {
+  std::array<unsigned char, EventCallback::kInlineBytes + 1> bytes{};
+  void operator()() const {}
+};
+struct ExactlyInline {
+  std::array<unsigned char, EventCallback::kInlineBytes> bytes{};
+  void operator()() const {}
+};
+template <typename F>
+concept AcceptedEverywhere = requires(Scheduler& s, F f) {
+  s.scheduleAt(Time::zero(), f);
+  s.scheduleAt(Time::zero(), EventKind::Generic, f);
+  s.scheduleAt(Time::zero(), EventKind::Generic, std::uint64_t{1}, f);
+  s.scheduleAfter(Time::zero(), f);
+  s.scheduleAfter(Time::zero(), EventKind::Generic, f);
+};
+template <typename F>
+concept AcceptedAnywhere = requires(Scheduler& s, F f) { s.scheduleAt(Time::zero(), f); } ||
+                           requires(Scheduler& s, F f) {
+                             s.scheduleAt(Time::zero(), EventKind::Generic, f);
+                           } ||
+                           requires(Scheduler& s, F f) {
+                             s.scheduleAt(Time::zero(), EventKind::Generic, std::uint64_t{1}, f);
+                           } ||
+                           requires(Scheduler& s, F f) { s.scheduleAfter(Time::zero(), f); } ||
+                           requires(Scheduler& s, F f) {
+                             s.scheduleAfter(Time::zero(), EventKind::Generic, f);
+                           };
+static_assert(sizeof(Oversized) == EventCallback::kInlineBytes + 1);
+static_assert(!AcceptedAnywhere<Oversized>);
+static_assert(AcceptedEverywhere<ExactlyInline>);
 
 }  // namespace
 }  // namespace rcsim

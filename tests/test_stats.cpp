@@ -108,6 +108,28 @@ TEST_F(TracerFixture, FirstChangeOffTheColumnIsWalked) {
   EXPECT_THROW((obs::PathTracer{0, 4, net.nodeCount()}), std::invalid_argument);
 }
 
+TEST_F(TracerFixture, WalksCountColumnChangesPlusTheFirstWalk) {
+  obs::PathTracer tracer{0, 3, net.nodeCount()};
+  EXPECT_EQ(tracer.walks(), 0u);
+  tracer.onRouteChange(1_sec, 2, 1, 1);  // first change, off the column: walked
+  std::uint64_t columnChanges = 0;
+  const struct {
+    NodeId node, dst, nh;
+  } changes[] = {{0, 3, 1}, {1, 2, 2}, {1, 3, 2}, {0, 1, 1}, {2, 3, 3}, {3, 3, 2}, {2, 0, 1}};
+  for (const auto& c : changes) {
+    tracer.onRouteChange(2_sec, c.node, c.dst, c.nh);
+    if (c.dst == 3) ++columnChanges;
+  }
+  EXPECT_EQ(columnChanges, 4u);
+  EXPECT_EQ(tracer.walks(), columnChanges + 1);
+
+  // A first change on the column is itself a column change: no extra walk.
+  obs::PathTracer onColumn{0, 3, net.nodeCount()};
+  onColumn.onRouteChange(1_sec, 0, 3, 1);
+  onColumn.onRouteChange(1_sec, 1, 2, 2);
+  EXPECT_EQ(onColumn.walks(), 1u);
+}
+
 TEST_F(TracerFixture, CollectorWiresEverythingTogether) {
   StatsCollector stats{net, StatsCollector::Config{0, 3}};
   stats.setFailureWatermark(10_sec);

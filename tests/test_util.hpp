@@ -27,6 +27,7 @@ class NetworkProbe final : public NetworkObserver {
   std::function<void(Time, NodeId where, const Packet&, DropReason)> drop;
   std::function<void(Time, NodeId, const Packet&)> deliver;
   std::function<void(Time, NodeId, const Packet&, NodeId nextHop)> forward;
+  std::function<void(Time, NodeId, const Packet&)> originate;
   std::function<void(Time, NodeId node, NodeId dst, NodeId oldNh, NodeId newNh)> routeChange;
   std::function<void(Time, NodeId from, NodeId to, const ControlPayload&)> controlSend;
 
@@ -38,6 +39,9 @@ class NetworkProbe final : public NetworkObserver {
   }
   void onForward(Time t, NodeId node, const Packet& p, NodeId nh) override {
     if (forward) forward(t, node, p, nh);
+  }
+  void onOriginate(Time t, NodeId node, const Packet& p) override {
+    if (originate) originate(t, node, p);
   }
   void onRouteChange(Time t, NodeId node, NodeId dst, NodeId oldNh, NodeId newNh) override {
     if (routeChange) routeChange(t, node, dst, oldNh, newNh);

@@ -22,7 +22,8 @@
 //   fwd   <node> -> <next>  pkt=<id> ttl=<n>   data-plane forwarding
 //   drop  <node> pkt=<id> reason=<r>           any packet drop
 //   del   <node> pkt=<id> delay=<s> hops=<n>   delivery at the receiver
-//   fail  link up/down from the failure detector
+//   fail  link (<a>,<b>) failed|recovered      link state change
+//         adjacency node=<n> peer=<p> up|down  hello detector's verdict
 //   path  sender->receiver forwarding path snapshots (loops flagged)
 #include <cstdio>
 #include <cstring>
@@ -194,8 +195,16 @@ class LivePrinter final : public obs::TraceSink {
                   (ev.t - Time::nanoseconds(ev.y)).toSeconds(),
                   static_cast<long long>(ev.z > 0 ? ev.z - 1 : 0));
     } else if (ev.category() == obs::TraceCategory::Failure && want("fail")) {
-      std::printf("%12.6f\tfail\tlink (%d,%d) %s\n", t, ev.a, ev.b,
-                  ev.kind == obs::TraceKind::LinkUp ? "recovered" : "failed");
+      if (ev.kind == obs::TraceKind::AdjDown || ev.kind == obs::TraceKind::AdjUp) {
+        // A node's own view of one adjacency, from the hello detector.
+        std::printf("%12.6f\tfail\tadjacency node=%d peer=%d %s\n", t, ev.a, ev.b,
+                    ev.kind == obs::TraceKind::AdjUp ? "up"
+                    : ev.x == 1                      ? "down (link is up)"
+                                                     : "down");
+      } else {
+        std::printf("%12.6f\tfail\tlink (%d,%d) %s\n", t, ev.a, ev.b,
+                    ev.kind == obs::TraceKind::LinkUp ? "recovered" : "failed");
+      }
     }
   }
 
